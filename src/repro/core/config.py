@@ -176,9 +176,11 @@ class MoctopusConfig:
     #: (entries; LRU).  ``0`` disables plan caching.
     plan_cache_size: int = 128
     #: Bound of the epoch-keyed LRU result cache for repeated
-    #: ``(expression, sources, epoch)`` hits.  Entries are deep copies,
-    #: so cached answers are bit-identical to a fresh execution
-    #: (results *and* simulated stats).  ``0`` disables result caching.
+    #: ``(expression, sources, epoch)`` hits.  Entries are frozen (rows
+    #: as frozensets plus a private stats copy) and thawed into fresh
+    #: sets and stats on every hit, so cached answers are bit-identical
+    #: to a fresh execution (results *and* simulated stats) and safe to
+    #: mutate.  ``0`` disables result caching.
     result_cache_size: int = 256
 
     def __post_init__(self) -> None:

@@ -31,10 +31,13 @@ epoch can never observe a stale entry:
   the lowered :class:`PhysicalPlan` (plans are immutable, so cached
   plans are shared, not copied);
 * a **result cache** mapping ``(epoch id, query shape, exact sources,
-  engine)`` to a deep copy of ``(result, stats)``, replayed as a fresh
-  deep copy on every hit so cached answers — results *and* simulated
-  counters — are bit-identical to an uncached execution and remain safe
-  for callers that annotate the returned stats in place.
+  engine)`` to a frozen entry: the answer rows as a tuple of frozensets
+  plus a private copy of the stats.  Entries are immutable by type, so
+  a fill freezes the rows (a C-level hash-table copy, no per-element
+  deep copy) and every hit thaws them into fresh sets and a fresh
+  stats copy.  Cached answers — results *and* simulated counters — are
+  bit-identical to an uncached execution, and callers may mutate the
+  returned rows or annotate the returned stats in place.
 
 Hit/miss counters accumulate on :attr:`QueryProcessor.cache_stats`
 (a separate :class:`ExecutionStats`), never on per-query stats, so the
@@ -46,7 +49,7 @@ from __future__ import annotations
 import copy
 import threading
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.config import MoctopusConfig
 from repro.core.hetero_storage import HeterogeneousGraphStorage
@@ -63,6 +66,10 @@ from repro.rpq.planner import LogicalPlan, plan_query
 from repro.rpq.query import BatchResult, KHopQuery, RPQuery
 
 __all__ = ["QueryProcessor", "Frontier"]
+
+#: A result-cache entry: the frozen answer rows plus a private stats
+#: copy that is only ever read (deep-copied) on a hit.
+_CachedAnswer = Tuple[Tuple[FrozenSet[int], ...], ExecutionStats]
 
 
 class QueryProcessor:
@@ -105,9 +112,7 @@ class QueryProcessor:
         self.cache_stats = ExecutionStats()
         self._cache_lock = threading.Lock()
         self._plan_cache: "OrderedDict[Tuple, PhysicalPlan]" = OrderedDict()
-        self._result_cache: "OrderedDict[Tuple, Tuple[BatchResult, ExecutionStats]]" = (
-            OrderedDict()
-        )
+        self._result_cache: "OrderedDict[Tuple, _CachedAnswer]" = OrderedDict()
 
     @property
     def engine_name(self) -> str:
@@ -166,19 +171,29 @@ class QueryProcessor:
                 else:
                     self.cache_stats.add_counter("result_cache_misses")
             if cached is not None:
-                # The O(result-size) replay copy runs *outside* the
-                # lock: entries are immutable by convention (only ever
-                # deep-copied), so concurrent epoch-pinned readers
-                # hitting the cache copy in parallel instead of
-                # serializing behind each other's copies.  The local
-                # reference keeps the entry alive even if LRU eviction
-                # drops it mid-copy.
-                return copy.deepcopy(cached)
+                # The O(result-size) thaw runs *outside* the lock:
+                # entries are immutable by type, so concurrent
+                # epoch-pinned readers hitting the cache copy in
+                # parallel instead of serializing behind each other's
+                # copies.  The local reference keeps the entry alive
+                # even if LRU eviction drops it mid-copy.
+                rows, stats = cached
+                return (
+                    BatchResult(
+                        sources=list(query.sources),
+                        destinations=[set(row) for row in rows],
+                    ),
+                    copy.deepcopy(stats),
+                )
         if engine is None:
             engine = create_engine(engine_name, self._runtime)
         outcome = engine.execute(physical, query.sources, view=view)
         if result_key is not None:
-            entry = copy.deepcopy(outcome)
+            result, stats = outcome
+            entry = (
+                tuple(frozenset(row) for row in result.destinations),
+                copy.deepcopy(stats),
+            )
             with self._cache_lock:
                 self._result_cache[result_key] = entry
                 self._result_cache.move_to_end(result_key)

@@ -12,7 +12,8 @@ Two clients over the same frame protocol:
 Both surface admission rejections as :class:`ServerBusy` (back off and
 retry — the query was never admitted) and request failures as
 :class:`ServerError` carrying the server's error ``code``
-(``bad_request``, ``timeout``, ``closed``, ``internal``, ``auth``).
+(``bad_request``, ``timeout``, ``too_large``, ``closed``, ``internal``,
+``auth``).
 """
 
 from __future__ import annotations

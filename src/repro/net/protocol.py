@@ -31,6 +31,7 @@ Frame types
     the client should back off and retry.
 ``error``
     Request failure: ``code`` is ``auth``, ``bad_request``, ``timeout``,
+    ``too_large`` (the answer exceeds :data:`MAX_FRAME_BYTES`),
     ``closed`` or ``internal``, plus a human-readable ``message``.
 ``stats``
     Metrics scrape over the protocol: request

@@ -87,7 +87,10 @@ class _Connection:
 
     async def send(self, frame: dict) -> None:
         """Serialize and send one frame (writes are serialized)."""
-        payload = encode_frame(frame)
+        await self.send_encoded(encode_frame(frame))
+
+    async def send_encoded(self, payload: bytes) -> None:
+        """Send one frame already serialized by :func:`encode_frame`."""
         async with self._write_lock:
             self.writer.write(payload)
             await self.writer.drain()
@@ -562,15 +565,28 @@ class MoctopusServer:
                 )
                 await conn.send_error(rid, "internal", str(error))
                 return
+            try:
+                payload = encode_frame(
+                    {
+                        "type": "result",
+                        "id": rid,
+                        "destinations": sorted(destinations),
+                        "stats": stats_to_wire(stats),
+                    }
+                )
+            except ProtocolError as error:
+                # An answer past MAX_FRAME_BYTES cannot be framed; the
+                # client gets a typed error instead of waiting out its
+                # timeout, and the query never counts as answered.
+                self.metrics.count("queries_failed")
+                self._log.warning(
+                    "client %d query %d answer too large: %s",
+                    conn.client_id, rid, error,
+                )
+                await conn.send_error(rid, "too_large", str(error))
+                return
             self.metrics.note_answered(stats)
-            await conn.send(
-                {
-                    "type": "result",
-                    "id": rid,
-                    "destinations": sorted(destinations),
-                    "stats": stats_to_wire(stats),
-                }
-            )
+            await conn.send_encoded(payload)
         except (ConnectionError, OSError):
             pass  # client went away before the answer could be written
         finally:

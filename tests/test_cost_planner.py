@@ -28,7 +28,7 @@ from repro.core import Moctopus, MoctopusConfig
 from repro.engine.physical import FixpointOp, lower_plan
 from repro.graph import DiGraph, random_graph
 from repro.pim import CostModel
-from repro.rpq import RPQuery, plan_query
+from repro.rpq import KHopQuery, RPQuery, plan_query
 from repro.rpq.evaluator import evaluate_rpq
 
 ENGINES = ("python", "vectorized", "matrix")
@@ -252,6 +252,76 @@ def test_cached_stats_are_private_copies():
         first.add_counter("caller_scribble", 99)
         _, second = session.execute(query)
     assert "caller_scribble" not in second.counters
+
+
+def full_fingerprint(result, stats):
+    return (
+        list(result.sources),
+        [set(dsts) for dsts in result.destinations],
+        stats.breakdown(),
+        (stats.cpc.bytes_moved, stats.cpc.transfers),
+        (stats.ipc.bytes_moved, stats.ipc.transfers),
+        list(stats.phase_pim_times),
+        dict(stats.counters),
+    )
+
+
+def scribble(result, stats):
+    """Mutate everything a caller could reach in a returned answer."""
+    result.sources.append(-1)
+    for destinations in result.destinations:
+        destinations.add(-1)
+    result.destinations.append({-2})
+    stats.host_time += 1.0
+    stats.cpc.record(4096)
+    stats.ipc.record(4096)
+    stats.phase_pim_times.append(1.0)
+    stats.add_counter("caller_scribble", 99)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize(
+    "query",
+    [RPQuery("a/b", sources=list(range(30))), KHopQuery(hops=2, sources=list(range(30)))],
+    ids=["rpq", "khop"],
+)
+def test_mutated_answers_never_reach_the_result_cache(engine, query):
+    uncached = build_system(skewed_graph(), engine=engine, result_cache_size=0)
+    with uncached.begin() as session:
+        expected = full_fingerprint(*session.execute(query))
+    assert any(expected[1]), "query must match something to be a real check"
+    system = build_system(skewed_graph(), engine=engine)
+    processor = system._query_processor
+    with system.begin() as session:
+        scribble(*session.execute(query))  # the miss that fills the entry
+        for _ in range(3):
+            hit = session.execute(query)
+            assert full_fingerprint(*hit) == expected
+            scribble(*hit)
+    counters = processor.cache_stats.counters
+    assert counters["result_cache_misses"] == 1
+    assert counters["result_cache_hits"] == 3
+
+
+def test_result_cache_entries_are_frozen_and_hits_thaw_fresh_sets():
+    system = build_system(skewed_graph())
+    processor = system._query_processor
+    query = RPQuery("a/b", sources=list(range(10)))
+    with system.begin() as session:
+        session.execute(query)
+        first, first_stats = session.execute(query)
+        second, second_stats = session.execute(query)
+        session.execute(RPQuery("c", sources=[5, 10, 20]))
+    assert len(processor._result_cache) == 2
+    for rows, _stats in processor._result_cache.values():
+        assert isinstance(rows, tuple)
+        assert all(type(row) is frozenset for row in rows)
+    assert first.destinations == second.destinations
+    for left, right in zip(first.destinations, second.destinations):
+        assert type(left) is set and type(right) is set
+        assert left is not right
+    assert first.sources is not second.sources
+    assert first_stats is not second_stats
 
 
 def test_caches_can_be_disabled():

@@ -39,6 +39,7 @@ from repro.net import (
     encode_frame,
     stats_to_wire,
 )
+from repro.net import protocol
 from repro.net.protocol import decode_length, read_frame_blocking
 from repro.pim import CostModel
 from repro.rpq import RPQuery, evaluate_rpq
@@ -221,6 +222,41 @@ def test_bad_queries_are_bad_requests(client, server):
     assert excinfo.value.code == "bad_request"
     assert server.metrics.snapshot()["bad_requests"] >= before + 4
     client.ping(timeout=5)  # connection survived every rejection
+
+
+def _result_frame_bytes(destinations, stats) -> int:
+    return len(
+        encode_frame(
+            {
+                "type": "result",
+                "id": 10**6,
+                "destinations": sorted(destinations),
+                "stats": stats,
+            }
+        )
+    )
+
+
+def test_oversize_answer_gets_too_large_error(system, monkeypatch):
+    with MoctopusServer(system, port=0).start() as server:
+        with MoctopusClient("127.0.0.1", server.port) as client:
+            small = _result_frame_bytes(*client.khop(0, 1, timeout=15))
+            large = _result_frame_bytes(*client.khop(0, 3, timeout=15))
+            assert large - small > 40, "need two answers of clearly different size"
+            # Both ends read the bound at call time: the k=3 answer no
+            # longer fits in a frame, an ERROR frame and the k=1 answer do.
+            monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", (small + large) // 2)
+            before = server.metrics.snapshot()
+            started = time.monotonic()
+            with pytest.raises(ServerError) as excinfo:
+                client.khop(0, 3, timeout=10)
+            assert excinfo.value.code == "too_large"
+            assert time.monotonic() - started < 5.0
+            after = server.metrics.snapshot()
+            assert after["queries_failed"] == 1
+            assert after["queries_answered"] == before["queries_answered"]
+            destinations, _ = client.khop(0, 1, timeout=10)
+            assert destinations == set(system.batch_khop([0], hops=1)[0].destinations[0])
 
 
 # ----------------------------------------------------------------------
