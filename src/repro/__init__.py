@@ -5,10 +5,9 @@ Path Queries over Graph Database with Processing-in-Memory"* (DAC 2024).
 It contains:
 
 ``repro.graph``
-    The graph substrate: property graphs, adjacency structures, sparse
-    boolean matrices with GraphBLAS-style semiring operations, synthetic
-    dataset generators mirroring the paper's SNAP workloads, and update
-    streams.
+    The graph substrate: directed and property graphs, synthetic
+    dataset generators mirroring the paper's SNAP workloads, edge-list
+    I/O, and update streams.
 
 ``repro.pim``
     A simulator of a commodity processing-in-memory platform (UPMEM-like):
@@ -35,8 +34,10 @@ It contains:
 ``repro.engine``
     The physical execution layer: logical plans lower into
     dispatch/expand/route/reduce operator sequences executed by
-    swappable backends — the scalar reference engine and a vectorized
-    numpy engine over CSR storage snapshots — selected by
+    swappable backends — the scalar reference engine, a vectorized
+    numpy engine over CSR storage snapshots, and a matrix engine that
+    computes the paper's ``Q x Adj^k`` chain as masked boolean-semiring
+    products with a per-phase push/pull kernel choice — selected by
     ``MoctopusConfig.engine`` and required to agree on every result and
     every simulated counter.
 
@@ -62,7 +63,7 @@ It contains:
     by the ``benchmarks/`` harness to regenerate every table and figure.
 """
 
-from repro.graph import BooleanMatrix, DiGraph, PropertyGraph
+from repro.graph import DiGraph, PropertyGraph
 from repro.pim import CostModel, PIMSystem
 from repro.rpq import KHopQuery, RPQuery
 from repro.core import Moctopus, MoctopusConfig
@@ -74,7 +75,6 @@ __version__ = "1.0.0"
 __all__ = [
     "DiGraph",
     "PropertyGraph",
-    "BooleanMatrix",
     "Moctopus",
     "MoctopusConfig",
     "RedisGraphEngine",

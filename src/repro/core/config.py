@@ -168,10 +168,6 @@ class MoctopusConfig:
     #: source-side expansion (the pre-planner behaviour and the
     #: ablation baseline).
     planner_direction: str = "auto"
-    #: Whether the planner's advisory engine hint may pick the backend
-    #: when the caller did not pin one.  Callers that pass an engine
-    #: instance (sessions, schedulers) are never overridden.
-    planner_engine_selection: bool = True
     #: Bound of the epoch-keyed plan cache on the query processor
     #: (entries; LRU).  ``0`` disables plan caching.
     plan_cache_size: int = 128

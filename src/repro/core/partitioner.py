@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.config import MoctopusConfig
-from repro.partition.base import HOST_PARTITION, PartitionMap, StreamingPartitioner
+from repro.partition.base import PartitionMap, StreamingPartitioner
 from repro.partition.hash_partition import HashPartitioner
 from repro.partition.labor_division import LaborDivisionPartitioner
 from repro.partition.radical_greedy import RadicalGreedyPartitioner
@@ -139,10 +139,6 @@ class GraphPartitioner:
     def num_modules(self) -> int:
         """Number of PIM partitions."""
         return self._config.num_modules
-
-    def is_host(self, node: int) -> bool:
-        """Whether ``node`` currently lives on the host partition."""
-        return self.partition_of(node) == HOST_PARTITION
 
     def greedy_placements(self) -> int:
         """Placements that followed the first-neighbor heuristic (0 for hash)."""

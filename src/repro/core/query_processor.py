@@ -7,18 +7,18 @@ The processor's job is planning and delegation, not data movement:
    paper's k-hop workload, a DFA-guided fixpoint for general RPQs), and,
    for epoch-pinned executions, costed by
    :mod:`repro.rpq.cost_planner`, which may flip a fixed-length plan to
-   *reverse* expansion from the rarer accepting side and attach an
-   advisory engine hint;
+   *reverse* expansion from the rarer accepting side;
 2. the logical plan is lowered again into a
    :class:`~repro.engine.physical.PhysicalPlan` of bulk-synchronous
    dispatch / expand / route / reduce operators;
 3. the physical plan is handed to the
    :class:`~repro.engine.base.ExecutionEngine` selected by
-   ``MoctopusConfig.engine`` — the scalar ``"python"`` backend or the
-   numpy ``"vectorized"`` backend — which executes it on the simulated
-   platform and returns the answer matrix plus the execution statistics.
+   ``MoctopusConfig.engine`` — the scalar ``"python"`` backend, the
+   numpy ``"vectorized"`` backend or the ``"matrix"`` backend — which
+   executes it on the simulated platform and returns the answer matrix
+   plus the execution statistics.
 
-Both backends implement the same operator semantics (see
+All backends implement the same operator semantics (see
 :mod:`repro.engine`): the smxm phases where partitioning quality turns
 into time, the mwait reduction, and the misplacement reports handed to
 the node migrator off the query's critical path.
@@ -104,7 +104,6 @@ class QueryProcessor:
         self.planner = CostBasedPlanner(
             label_names=label_names or {},
             direction=config.planner_direction,
-            engine_selection=config.planner_engine_selection,
         )
         #: Cache hit/miss counters.  Deliberately *not* merged into any
         #: per-query :class:`ExecutionStats` — per-query observables must
@@ -143,18 +142,13 @@ class QueryProcessor:
         same as the live path, but the physical plan runs on ``view``
         (frozen owners and snapshots, private accounting platform) via a
         per-session ``engine`` instance.  When no engine is supplied a
-        fresh one is created for the call — pinned executions must never
-        share the live engine's scratch state with concurrent live
-        queries.
+        fresh one of the configured backend is created for the call —
+        pinned executions must never share the live engine's scratch
+        state with concurrent live queries.
         """
         epoch = epoch_of_view(view)
         physical = self.lower(query, view=view)
-        if engine is not None:
-            engine_name = engine.name
-        elif physical.engine_hint is not None:
-            engine_name = physical.engine_hint
-        else:
-            engine_name = self.engine.name
+        engine_name = engine.name if engine is not None else self.engine.name
         result_key = None
         if epoch is not None and self._config.result_cache_size > 0:
             result_key = (

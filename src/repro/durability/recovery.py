@@ -59,7 +59,12 @@ def _config_from_dict(data: dict) -> "MoctopusConfig":
 
     data = dict(data)
     cost_model = CostModel(**data.pop("cost_model"))
-    return MoctopusConfig(cost_model=cost_model, **data)
+    # A log outlives the knobs it echoes: a knob retired since the log
+    # was written (a pure policy switch, never replayed state) is
+    # dropped instead of making the directory unrecoverable.
+    known = {field.name for field in dataclasses.fields(MoctopusConfig)}
+    kept = {name: value for name, value in data.items() if name in known}
+    return MoctopusConfig(cost_model=cost_model, **kept)
 
 
 def recover(

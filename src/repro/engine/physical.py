@@ -116,9 +116,6 @@ class PhysicalPlan:
     #: carries the seed nodes; engines invert the matches at the end.
     direction: str = "forward"
     reverse: Optional[ReversePlan] = None
-    #: Advisory engine choice from the cost planner; honoured only when
-    #: the caller did not pin an engine.
-    engine_hint: Optional[str] = None
 
     def max_expansion_phases(self) -> int:
         """Upper bound on the expand/route phases this plan can run.
@@ -241,12 +238,10 @@ def lower_plan(plan: LogicalPlan, default_fixpoint_iterations: int) -> PhysicalP
         if plan.reverse_seeds is None:
             raise ValueError("reverse plans must carry reverse_seeds")
         reverse = ReversePlan(seeds=tuple(plan.reverse_seeds))
-    decision = plan.decision
     return PhysicalPlan(
         ops=ops,
         accumulate_results=plan.accumulate_results,
         dfa=plan.dfa,
         direction=plan.direction,
         reverse=reverse,
-        engine_hint=decision.engine_hint if decision is not None else None,
     )

@@ -1,23 +1,22 @@
-"""Graph substrate: graphs, matrices, generators, datasets and streams.
+"""Graph substrate: graphs, generators, datasets and streams.
 
 This subpackage is the foundation every engine in the reproduction
 builds on.  Nothing in here knows about PIM or about Moctopus; it is the
-"graph database storage and math" layer:
+graph-data layer:
 
 * :class:`DiGraph` / :class:`PropertyGraph` — mutable graph structures;
-* :class:`BooleanMatrix` / :class:`SemiringMatrix` / :class:`CSRMatrix` —
-  sparse matrices with GraphBLAS-style products;
 * :mod:`repro.graph.generators` / :mod:`repro.graph.datasets` — the
   synthetic stand-ins for the paper's 15 SNAP graphs (Table 1);
+* :mod:`repro.graph.io` — SNAP-style edge-list reading and writing;
 * :mod:`repro.graph.stream` — insertion/deletion workloads for the
   dynamic-graph experiments (Figure 6).
+
+The runtime's adjacency matrices are the CSR snapshots of
+:mod:`repro.core.snapshot`, built from the PIM-side storages.
 """
 
 from repro.graph.digraph import DEFAULT_LABEL, DiGraph
 from repro.graph.property_graph import EdgeRecord, NodeRecord, PropertyGraph
-from repro.graph.semiring import BOOLEAN, COUNTING, MIN_PLUS, Semiring, get_semiring
-from repro.graph.matrix import BooleanMatrix, SemiringMatrix, khop_reachability
-from repro.graph.csr import CSRMatrix
 from repro.graph.generators import (
     community_graph,
     power_law_graph,
@@ -49,15 +48,6 @@ __all__ = [
     "PropertyGraph",
     "NodeRecord",
     "EdgeRecord",
-    "Semiring",
-    "BOOLEAN",
-    "COUNTING",
-    "MIN_PLUS",
-    "get_semiring",
-    "BooleanMatrix",
-    "SemiringMatrix",
-    "khop_reachability",
-    "CSRMatrix",
     "road_network",
     "power_law_graph",
     "community_graph",

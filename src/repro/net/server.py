@@ -297,7 +297,14 @@ class MoctopusServer:
         with self._close_lock:
             thread = self._thread
             if thread is not None and thread.is_alive():
-                self._loop.call_soon_threadsafe(self._shutdown_requested.set)
+                try:
+                    self._loop.call_soon_threadsafe(
+                        self._shutdown_requested.set
+                    )
+                except RuntimeError:
+                    # The loop closed between the liveness check and the
+                    # call: an earlier closer's shutdown is finishing.
+                    pass
         if thread is not None and thread.is_alive():
             thread.join(timeout)
         if self._owns_scheduler:

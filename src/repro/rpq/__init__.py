@@ -11,8 +11,8 @@ package provides:
   workload (:mod:`repro.rpq.query`),
 * the logical planner that lowers queries into matrix-based execution
   plans (:mod:`repro.rpq.planner`),
-* the cost-based planner that chooses expansion direction, bounds and
-  backend from frozen epoch statistics (:mod:`repro.rpq.cost_planner`),
+* the cost-based planner that chooses expansion direction and bounds
+  from frozen epoch statistics (:mod:`repro.rpq.cost_planner`),
 * a reference evaluator used as the correctness oracle for every engine
   (:mod:`repro.rpq.evaluator`).
 """
@@ -63,7 +63,7 @@ from repro.rpq.planner import (
     plan_query,
     plan_rpq,
 )
-from repro.rpq.evaluator import count_khop_paths, evaluate_khop, evaluate_rpq
+from repro.rpq.evaluator import evaluate_khop, evaluate_rpq
 
 __all__ = [
     "ANY_LABEL",
@@ -104,5 +104,4 @@ __all__ = [
     "plan_query",
     "evaluate_khop",
     "evaluate_rpq",
-    "count_khop_paths",
 ]

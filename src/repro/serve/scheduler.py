@@ -304,9 +304,16 @@ class BatchScheduler:
     ) -> ServingFuture:
         """Admit one single-source k-hop query.
 
-        With ``block=False`` (or on timeout) a full queue raises
-        :class:`SchedulerSaturated` — the bounded-admission contract.
+        ``hops`` is checked here, like ``submit_rpq``'s expression, so a
+        bad value surfaces synchronously at the caller, not inside the
+        drain thread.  With ``block=False`` (or on timeout) a full queue
+        raises :class:`SchedulerSaturated` — the bounded-admission
+        contract.
         """
+        if not isinstance(hops, int) or isinstance(hops, bool):
+            raise TypeError(f"hops must be an int, got {hops!r}")
+        if hops < 1:
+            raise ValueError(f"hops must be at least 1, got {hops}")
         return self._admit(ServingFuture(source, hops=hops), block, timeout)
 
     def submit_rpq(

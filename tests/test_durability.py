@@ -22,6 +22,7 @@ engines.
 
 from __future__ import annotations
 
+import json
 import os
 import shutil
 import tempfile
@@ -415,6 +416,27 @@ def test_recover_without_config_uses_initial_manifest(tmp_path):
     assert recovered.num_modules == 4
     assert recovered.config.wal_segment_bytes == 2048
     assert_fingerprints_equal(fingerprint(recovered), expected, "config manifest")
+    recovered.close()
+
+
+def test_recover_drops_config_knobs_this_version_lacks(tmp_path):
+    """A config echo naming a knob retired since it was written still
+    recovers, under the remaining knobs."""
+    graph, steps = _workload(seed=59)
+    system = Moctopus.from_graph(graph, config=_config(tmp_path))
+    run_step(system, steps[0])
+    expected = fingerprint(system)
+    system._durability.wal.close()  # crash: recovery reads config.json
+    path = os.path.join(str(tmp_path), "config.json")
+    with open(path) as handle:
+        echo = json.load(handle)
+    echo["config"]["retired_policy_knob"] = True
+    with open(path, "w") as handle:
+        json.dump(echo, handle)
+
+    recovered = Moctopus.recover(str(tmp_path))
+    assert recovered.config.wal_segment_bytes == 2048
+    assert_fingerprints_equal(fingerprint(recovered), expected, "retired knob")
     recovered.close()
 
 

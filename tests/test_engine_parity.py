@@ -13,6 +13,7 @@ misplacement handling.
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,8 @@ from hypothesis import strategies as st
 from repro.core import Moctopus, MoctopusConfig
 from repro.core.hetero_storage import BYTES_PER_SLOT
 from repro.core.local_storage import BYTES_PER_ENTRY
-from repro.core.snapshot import build_snapshot_reference
+from repro.core.snapshot import GraphSnapshot, build_snapshot_reference
+from repro.engine import matrix_engine
 from repro.engine import (
     ENGINE_NAMES,
     MatrixEngine,
@@ -505,3 +507,72 @@ def test_parity_with_migration_disabled():
             },
             context=f"migration off hops={hops}",
         )
+
+
+# ----------------------------------------------------------------------
+# Matrix engine: per-phase push/pull kernel choice
+# ----------------------------------------------------------------------
+def _counted(function, kernels, tag):
+    def wrapper(*args, **kwargs):
+        kernels[tag] += 1
+        return function(*args, **kwargs)
+
+    return wrapper
+
+
+def _matrix_kernels(monkeypatch, graph, run):
+    """Kernel calls the matrix engine makes for ``run(system)``, after
+    checking its answer and stats against the python engine's."""
+    systems = {
+        engine: Moctopus.from_graph(
+            graph,
+            MoctopusConfig(cost_model=CostModel(num_modules=8), engine=engine),
+        )
+        for engine in ("python", "matrix")
+    }
+    reference = run(systems["python"])
+    kernels = Counter()
+    with monkeypatch.context() as patch:
+        for owner, name, tag in (
+            (GraphSnapshot, "transpose_block", "bitset_pull"),
+            (VectorizedEngine, "_bitset_produce", "bitset_push"),
+            # Only the DFA pull kernel packs frontier bits into
+            # per-state planes over the snapshot's label blocks.
+            (matrix_engine, "_row_bit_masks", "keys_pull"),
+            (VectorizedEngine, "_keys_produce", "keys_push"),
+        ):
+            patch.setattr(owner, name, _counted(getattr(owner, name), kernels, tag))
+        outcome = run(systems["matrix"])
+    assert_equivalent({"python": reference, "matrix": outcome})
+    return kernels
+
+
+@pytest.mark.parametrize(
+    "kernel, deep_dense, single_hop",
+    [
+        (
+            "bitset",
+            lambda system, sources: system.batch_khop(sources, 4),
+            lambda system: system.batch_khop([5], 1),
+        ),
+        (
+            "keys",
+            lambda system, sources: system.execute(RPQuery(".{4}", sources)),
+            lambda system: system.execute(RPQuery(".{1}", [5])),
+        ),
+    ],
+)
+def test_matrix_engine_pulls_deep_dense_batches_and_pushes_single_hops(
+    monkeypatch, kernel, deep_dense, single_hop
+):
+    dense = random_graph(80, 800, seed=21)
+    sources = random_source_batch(list(dense.nodes()), 48, seed=21)
+    pulled = _matrix_kernels(
+        monkeypatch, dense, lambda system: deep_dense(system, sources)
+    )
+    assert pulled[f"{kernel}_pull"] >= 1, pulled
+    pushed = _matrix_kernels(
+        monkeypatch, random_graph(400, 1200, seed=22), single_hop
+    )
+    assert pushed[f"{kernel}_pull"] == 0, pushed
+    assert pushed[f"{kernel}_push"] >= 1, pushed

@@ -224,6 +224,21 @@ def test_bad_queries_are_bad_requests(client, server):
     client.ping(timeout=5)  # connection survived every rejection
 
 
+def test_out_of_range_hops_are_bad_requests_not_failures(client, server):
+    # Well-typed but out of range: rejected at admission, so the client
+    # gets bad_request and no query is admitted or counted as failed.
+    before = server.metrics.snapshot()
+    for hops in (0, -1):
+        with pytest.raises(ServerError) as excinfo:
+            client.khop(0, hops, timeout=5)
+        assert excinfo.value.code == "bad_request"
+    after = server.metrics.snapshot()
+    assert after["bad_requests"] == before["bad_requests"] + 2
+    assert after["queries_failed"] == before["queries_failed"]
+    assert after["queries_admitted"] == before["queries_admitted"]
+    client.ping(timeout=5)
+
+
 def _result_frame_bytes(destinations, stats) -> int:
     return len(
         encode_frame(
@@ -368,6 +383,26 @@ def test_queries_after_shutdown_get_closed_error(system):
         cli.close()
         server.close()
         scheduler.close()
+
+
+def test_close_after_the_loop_closed_under_a_live_thread(system):
+    # A racing closer can see the loop thread still alive after the
+    # earlier closer's shutdown already closed the loop.  Pin that
+    # window open: the late close must return quietly, not raise
+    # "Event loop is closed" from call_soon_threadsafe.
+    server = MoctopusServer(system, port=0).start()
+    server.close()
+    assert server._loop.is_closed()
+
+    class _ExitingThread:
+        def is_alive(self):
+            return True
+
+        def join(self, timeout=None):
+            pass
+
+    server._thread = _ExitingThread()
+    server.close()
 
 
 # ----------------------------------------------------------------------

@@ -322,12 +322,15 @@ def test_cross_engine_sessions_bit_identical(seed):
 def test_scheduler_answers_match_model(engine):
     system = build_system(3, engine)
     model = build_model(3)
-    with system.serve() as scheduler:
+    # Admit every query before the drain starts, so coalescing does not
+    # depend on the submitting thread outpacing the drain thread.
+    with system.serve(autostart=False) as scheduler:
         futures = [
             (source, hops, scheduler.submit(source, hops))
             for source in range(10)
             for hops in (1, 2)
         ]
+        scheduler._worker.start()
         for source, hops, future in futures:
             destinations, stats = future.outcome(timeout=10)
             assert destinations == model.khop([source], hops)[0], (
@@ -337,6 +340,22 @@ def test_scheduler_answers_match_model(engine):
         assert scheduler.queries_served == len(futures)
     # Coalescing must actually happen: far fewer batches than queries.
     assert scheduler.batches_executed < len(futures)
+
+
+def test_scheduler_rejects_bad_hops_at_submit():
+    system = build_system(4, "vectorized")
+    with system.serve() as scheduler:
+        for hops in (0, -1):
+            with pytest.raises(ValueError):
+                scheduler.submit(0, hops)
+        for hops in (True, 1.0, "2", None):
+            with pytest.raises(TypeError):
+                scheduler.submit(0, hops)
+        assert scheduler.pending == 0
+        assert scheduler.submit(0, 1).result(timeout=10) == (
+            build_model(4).khop([0], 1)[0]
+        )
+    assert scheduler.queries_served == 1
 
 
 def test_scheduler_admission_queue_is_bounded():
